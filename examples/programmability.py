@@ -43,10 +43,11 @@ def tmk_transpose(proc):
     klo, khi = slab(tmk.pid, tmk.nprocs, N3)
     a_slab = field()[ilo:ihi]
     # The entire communication logic:
-    b.write((slice(None), slice(ilo, ihi), slice(None)),
-            a_slab.transpose(2, 0, 1))
-    tmk.barrier(0)
-    return np.asarray(b.read((slice(klo, khi), slice(None), slice(None)))).copy()
+    yield from b.write_g((slice(None), slice(ilo, ihi), slice(None)),
+                         a_slab.transpose(2, 0, 1))
+    yield from tmk.barrier_g(0)
+    mine = yield from b.read_g((slice(klo, khi), slice(None), slice(None)))
+    return np.asarray(mine).copy()
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +74,9 @@ def pvm_transpose(proc):
         block = a_slab[:, :, pklo:pkhi].transpose(2, 0, 1)
         buf = pvm.initsend()
         buf.pkdcplx(np.ascontiguousarray(block).reshape(-1))
-        pvm.send(p, 1, buf)
+        yield from pvm.send_g(p, 1, buf)
     for _ in range(n - 1):
-        got = pvm.recv(-1, 1)
+        got = yield from pvm.recv_g(-1, 1)
         silo, sihi = slab(got.src, n, N1)
         count = (khi - klo) * (sihi - silo) * N2
         out[:, silo:sihi, :] = got.upkdcplx(count).reshape(

@@ -5,6 +5,10 @@ The program sums the squares 1..N across a simulated 4-workstation
 cluster, once with TreadMarks shared memory and once with PVM message
 passing, then prints what each run cost in virtual time and messages.
 
+Each processor body is a generator: every runtime call that can wait
+(lock, barrier, shared read or write, receive) is a ``*_g`` method
+invoked with ``yield from``.
+
 Run:  python examples/quickstart.py
 """
 
@@ -37,11 +41,12 @@ def tmk_main(proc):
     partial = int((values * values).sum())
     proc.compute(values.size * WORK_CPU)
 
-    tmk.lock_acquire(0)                       # Tmk_lock_acquire
-    total.set(0, int(total.get(0)) + partial)
-    tmk.lock_release(0)                       # Tmk_lock_release
-    tmk.barrier(0)                            # Tmk_barrier
-    return int(total.get(0))                  # everyone reads the result
+    yield from tmk.lock_acquire_g(0)          # Tmk_lock_acquire
+    current = yield from total.get_g(0)
+    yield from total.set_g(0, int(current) + partial)
+    yield from tmk.lock_release_g(0)          # Tmk_lock_release
+    yield from tmk.barrier_g(0)               # Tmk_barrier
+    return int((yield from total.get_g(0)))   # everyone reads the result
 
 
 # ----------------------------------------------------------------------
@@ -57,16 +62,17 @@ def pvm_main(proc):
     if pvm.mytid == 0:
         total = partial
         for _ in range(pvm.nprocs - 1):
-            buf = pvm.recv(-1, tag=1)         # pvm_recv
+            buf = yield from pvm.recv_g(-1, tag=1)  # pvm_recv
             total += int(buf.upklong(1)[0])   # pvm_upklong
         out = pvm.initsend()                  # pvm_initsend
         out.pklong([total])                   # pvm_pklong
-        pvm.bcast(2, out)                     # pvm_mcast to everyone
+        yield from pvm.bcast_g(2, out)        # pvm_mcast to everyone
         return total
     buf = pvm.initsend()
     buf.pklong([partial])
-    pvm.send(0, 1, buf)                       # pvm_send
-    return int(pvm.recv(0, 2).upklong(1)[0])
+    yield from pvm.send_g(0, 1, buf)          # pvm_send
+    reply = yield from pvm.recv_g(0, 2)
+    return int(reply.upklong(1)[0])
 
 
 def main():

@@ -5,13 +5,13 @@ to use explicit synchronization") has a few failure modes the runtime
 cannot always catch, because they produce *stale values* rather than
 crashes.  This AST pass flags them in application source:
 
-* **DSM001** -- a view obtained from ``SharedArray.read``/``read_racy``
+* **DSM001** -- a view obtained from ``SharedArray.read_g``/``read_racy_g``
   (or by subscripting a shared array) is used after a synchronization
-  operation (``barrier``/``lock_acquire``/``lock_release``) without
+  operation (``barrier_g``/``lock_acquire_g``/``lock_release_g``) without
   being re-read.  A DSM moves data only at synchronization; a cached
   view is the register-allocated stale copy the paper warns about.
 * **DSM002** -- element assignment into such a view.  Views are
-  read-only; writes must go through ``SharedArray.write``/``add`` so
+  read-only; writes must go through ``SharedArray.write_g``/``add_g`` so
   the runtime can twin the page and produce diffs.
 * **DSM003** -- direct ``SharedArray(...)`` construction in application
   code.  Shared memory must come from ``Tmk.shared_array``/``array_at``
@@ -28,6 +28,10 @@ sequentially (a deliberate over-approximation: a sync in *either* arm
 marks views stale afterwards).  Binding a fresh read to the same name
 clears its staleness; ``.copy()`` results are never tracked, because a
 copy is a private snapshot, not an alias of shared memory.
+
+Method names are matched without their generator suffix, so
+``v = yield from a.read_g()`` and ``yield from tmk.barrier_g(0)`` are
+the view and the sync that ``a.read()`` and ``tmk.barrier(0)`` name.
 """
 
 from __future__ import annotations
@@ -73,8 +77,10 @@ class _View:
 
 
 def _method_name(call: ast.Call) -> Optional[str]:
+    """The called method's name, without a generator ``_g`` suffix."""
     if isinstance(call.func, ast.Attribute):
-        return call.func.attr
+        attr = call.func.attr
+        return attr[:-2] if attr.endswith("_g") else attr
     return None
 
 
@@ -114,6 +120,8 @@ class _FunctionLinter:
     # ------------------------------------------------------------------
     def _is_view_expr(self, expr: ast.expr) -> bool:
         """Does this expression yield a shared-memory view?"""
+        if isinstance(expr, ast.YieldFrom):
+            expr = expr.value
         if isinstance(expr, ast.Call):
             return _method_name(expr) in VIEW_METHODS
         if isinstance(expr, ast.Subscript):
@@ -197,7 +205,7 @@ class _FunctionLinter:
                 self._report(
                     "DSM002", target,
                     f"assignment into read-only view {base.id!r}; write "
-                    "through SharedArray.write()/add() so the runtime can "
+                    "through SharedArray.write_g()/add_g() so the runtime can "
                     "twin the page and diff the change")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
@@ -229,7 +237,7 @@ class _FunctionLinter:
                 self._report(
                     "DSM002", target,
                     f"augmented assignment into read-only view "
-                    f"{target.value.id!r}; use SharedArray.add()")
+                    f"{target.value.id!r}; use SharedArray.add_g()")
             elif isinstance(target, ast.Name):
                 self._scan_expr(ast.Name(id=target.id, ctx=ast.Load(),
                                          lineno=stmt.lineno,

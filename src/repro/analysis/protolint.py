@@ -69,11 +69,10 @@ _RANDOM_FNS = {"random", "randrange", "randint", "choice", "choices",
 def _sync_name(attr: str) -> str:
     """Normalize a blocking-call attribute name.
 
-    The runtime exposes every blocking primitive twice: ``foo`` (the
-    thread-backend wrapper) and ``foo_g`` (the generator the coro
-    trampoline drives).  Both block the simulated processor identically,
-    so the lints treat ``wait_g``/``barrier_g``/``recv_g``/... exactly
-    like their undecorated forms.
+    The runtime's blocking primitives are generator methods named
+    ``foo_g`` that the engine's trampoline drives; the lints match them
+    by base name, so ``wait_g``/``barrier_g``/``recv_g``/... count as
+    ``wait``/``barrier``/``recv``.
     """
     return attr[:-2] if attr.endswith("_g") else attr
 

@@ -110,18 +110,6 @@ class IvyCore:
     # ------------------------------------------------------------------
     # Application-facing access checks (same interface SharedArray uses)
     # ------------------------------------------------------------------
-    def ensure_valid_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_valid_range_g(start, nbytes))
-
-    def ensure_writable_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_writable_range_g(start, nbytes))
-
-    def ensure_valid_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=False))
-
-    def ensure_writable_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=True))
-
     def ensure_valid_range_g(self, start: int, nbytes: int):
         yield from self._ensure_g([(start, nbytes)], want_write=False)
 

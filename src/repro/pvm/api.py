@@ -17,6 +17,10 @@ follows the paper's description of PVM 3.3:
 
 Wildcards: ``src=-1`` and/or ``tag=-1`` match anything, earliest arrival
 first, exactly like real PVM.
+
+Every call that may yield to the scheduler is a generator method with a
+``_g`` suffix that processor bodies invoke with ``yield from``, e.g.
+``buf = yield from pvm.recv_g(0, tag)``.
 """
 
 from __future__ import annotations
@@ -94,33 +98,21 @@ class Pvm:
         self.proc.compute(self.proc.cluster.cost.initsend_cpu)
         return SendBuffer(fmt)
 
-    def send(self, dest: int, tag: int, buf: SendBuffer) -> None:
-        """Dispatch ``buf`` to ``dest`` (non-blocking, pvm_send)."""
-        return self.proc.drive(self.send_g(dest, tag, buf))
-
     def send_g(self, dest: int, tag: int, buf: SendBuffer):
-        """Generator form of :meth:`send` (coro-backend convention)."""
+        """Dispatch ``buf`` to ``dest`` (non-blocking, pvm_send)."""
         yield from self._send_frozen_g(dest, tag, buf._freeze(), buf.fmt,
                                        buf.nbytes, buf.nitems)
 
-    def mcast(self, dests: Sequence[int], tag: int, buf: SendBuffer) -> None:
-        """Send to several destinations (pvm_mcast): one message each."""
-        return self.proc.drive(self.mcast_g(dests, tag, buf))
-
     def mcast_g(self, dests: Sequence[int], tag: int, buf: SendBuffer):
-        """Generator form of :meth:`mcast`."""
+        """Send to several destinations (pvm_mcast): one message each."""
         segments = buf._freeze()
         nbytes, nitems = buf.nbytes, buf.nitems
         for dest in dests:
             yield from self._send_frozen_g(dest, tag, segments, buf.fmt,
                                            nbytes, nitems)
 
-    def bcast(self, tag: int, buf: SendBuffer) -> None:
-        """Send to every *other* processor."""
-        self.mcast([p for p in range(self.nprocs) if p != self.mytid], tag, buf)
-
     def bcast_g(self, tag: int, buf: SendBuffer):
-        """Generator form of :meth:`bcast`."""
+        """Send to every *other* processor."""
         yield from self.mcast_g(
             [p for p in range(self.nprocs) if p != self.mytid], tag, buf)
 
@@ -193,12 +185,8 @@ class Pvm:
                 return self._inbox.pop(i)
         return None
 
-    def recv(self, src: int = -1, tag: int = -1) -> ReceiveBuffer:
-        """Blocking receive (pvm_recv); wildcards with ``-1``."""
-        return self.proc.drive(self.recv_g(src, tag))
-
     def recv_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`recv` (coro-backend convention)."""
+        """Blocking receive (pvm_recv); wildcards with ``-1``."""
         proc = self.proc
         yield YIELD
         obs = proc.obs
@@ -218,12 +206,8 @@ class Pvm:
             obs.end(proc.now, proc.pid)
         return buf
 
-    def nrecv(self, src: int = -1, tag: int = -1) -> Optional[ReceiveBuffer]:
-        """Non-blocking receive (pvm_nrecv): ``None`` if nothing matched."""
-        return self.proc.drive(self.nrecv_g(src, tag))
-
     def nrecv_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`nrecv`."""
+        """Non-blocking receive (pvm_nrecv): ``None`` if nothing matched."""
         proc = self.proc
         yield YIELD
         msg = self._take(src, tag)
@@ -231,12 +215,8 @@ class Pvm:
             return None
         return self._consume(msg)
 
-    def probe(self, src: int = -1, tag: int = -1) -> bool:
-        """True if a matching message has arrived (pvm_probe)."""
-        return self.proc.drive(self.probe_g(src, tag))
-
     def probe_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`probe`."""
+        """True if a matching message has arrived (pvm_probe)."""
         yield YIELD
         return any(self._matches(m, src, tag) for m in self._inbox)
 

@@ -17,7 +17,7 @@ process.  All group traffic is ordinary PVM-accounted messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class PvmGroups:
     @property
     def _server(self) -> int:
         return 0
-
-    def _rpc(self, op: str, *args):
-        return self.proc.drive(self._rpc_g(op, *args))
 
     def _rpc_g(self, op: str, *args):
         proc = self.proc
@@ -175,29 +172,17 @@ class PvmGroups:
     # ------------------------------------------------------------------
     # Public API (the pvm_* group calls)
     # ------------------------------------------------------------------
-    def joingroup(self, name: str) -> int:
-        """Join ``name``; returns this task's instance number."""
-        return self.proc.drive(self.joingroup_g(name))
-
     def joingroup_g(self, name: str):
-        """Generator form of :meth:`joingroup` (coro-backend convention)."""
+        """Join ``name``; returns this task's instance number."""
         inst = yield from self._rpc_g("join", name)
         self._instances[name] = inst
         return inst
 
-    def lvgroup(self, name: str) -> None:
-        return self.proc.drive(self.lvgroup_g(name))
-
     def lvgroup_g(self, name: str):
-        """Generator form of :meth:`lvgroup`."""
         yield from self._rpc_g("leave", name)
         self._instances.pop(name, None)
 
-    def gsize(self, name: str) -> int:
-        return self.proc.drive(self.gsize_g(name))
-
     def gsize_g(self, name: str):
-        """Generator form of :meth:`gsize`."""
         size = yield from self._rpc_g("size", name)
         return size
 
@@ -206,20 +191,12 @@ class PvmGroups:
             raise GroupError(f"not a member of {name!r}")
         return self._instances[name]
 
-    def members(self, name: str) -> tuple:
-        return self.proc.drive(self.members_g(name))
-
     def members_g(self, name: str):
-        """Generator form of :meth:`members`."""
         out = yield from self._rpc_g("members", name)
         return out
 
-    def barrier(self, name: str, count: int) -> None:
-        """Block until ``count`` members of ``name`` have called barrier."""
-        return self.proc.drive(self.barrier_g(name, count))
-
     def barrier_g(self, name: str, count: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
+        """Block until ``count`` members of ``name`` have called barrier."""
         if name not in self._instances:
             raise GroupError(f"barrier on {name!r} before joingroup")
         proc = self.proc
@@ -264,17 +241,12 @@ class PvmGroups:
         proc.compute(delivery.recv_cpu)
         return delivery.payload
 
-    def reduce(self, name: str, values, op: str = "sum",
-               root_instance: int = 0) -> Optional[np.ndarray]:
+    def reduce_g(self, name: str, values, op: str = "sum",
+                 root_instance: int = 0):
         """pvm_reduce: combine members' arrays at the root instance.
 
         Returns the combined array at the root, ``None`` elsewhere.
         """
-        return self.proc.drive(self.reduce_g(name, values, op, root_instance))
-
-    def reduce_g(self, name: str, values, op: str = "sum",
-                 root_instance: int = 0):
-        """Generator form of :meth:`reduce` (coro-backend convention)."""
         if op not in _REDUCERS:
             raise GroupError(f"unknown reduction {op!r}")
         members = yield from self.members_g(name)
@@ -290,14 +262,9 @@ class PvmGroups:
                                      values.nbytes)
         return None
 
-    def gather(self, name: str, values,
-               root_instance: int = 0) -> Optional[List[np.ndarray]]:
+    def gather_g(self, name: str, values, root_instance: int = 0):
         """pvm_gather: concatenate members' arrays at the root, ordered
         by instance number."""
-        return self.proc.drive(self.gather_g(name, values, root_instance))
-
-    def gather_g(self, name: str, values, root_instance: int = 0):
-        """Generator form of :meth:`gather`."""
         members = yield from self.members_g(name)
         root = members[root_instance]
         values = np.asarray(values)
@@ -311,13 +278,9 @@ class PvmGroups:
                                      values.nbytes)
         return None
 
-    def bcast(self, name: str, values) -> np.ndarray:
+    def bcast_g(self, name: str, values):
         """pvm_bcast from this member to the whole group; every member
         (including the sender) returns the array."""
-        return self.proc.drive(self.bcast_g(name, values))
-
-    def bcast_g(self, name: str, values):
-        """Generator form of :meth:`bcast`."""
         members = yield from self.members_g(name)
         values = np.asarray(values)
         for pid in members:
@@ -326,11 +289,7 @@ class PvmGroups:
                     pid, (self.proc.pid, values.copy()), values.nbytes)
         return values.copy()
 
-    def recv_bcast(self) -> np.ndarray:
-        return self.proc.drive(self.recv_bcast_g())
-
     def recv_bcast_g(self):
-        """Generator form of :meth:`recv_bcast`."""
         _, arr = yield from self._recv_data_g()
         return arr
 

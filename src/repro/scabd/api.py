@@ -166,11 +166,7 @@ class ScAbd:
         return self.system.nclients
 
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
-        return self.proc.drive(self.barrier_g(bid))
-
     def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
         proc = self.proc
         obs = proc.obs
         if obs is not None:
@@ -180,11 +176,7 @@ class ScAbd:
         if obs is not None:
             obs.end(proc.now, proc.pid)
 
-    def lock_acquire(self, lock: int) -> None:
-        return self.proc.drive(self.lock_acquire_g(lock))
-
     def lock_acquire_g(self, lock: int):
-        """Generator form of :meth:`lock_acquire`."""
         proc = self.proc
         obs = proc.obs
         if obs is not None:
@@ -194,11 +186,7 @@ class ScAbd:
         if obs is not None:
             obs.end(proc.now, proc.pid)
 
-    def lock_release(self, lock: int) -> None:
-        self.locks.release(lock)
-
     def lock_release_g(self, lock: int):
-        """Generator form of :meth:`lock_release`."""
         yield from self.locks.release_g(lock)
 
     # ------------------------------------------------------------------
@@ -237,8 +225,7 @@ def _replica_main(proc: "Processor"):
 
     All replica work happens in message handlers; this generator body only
     exists so the processor has a clock to charge service time to.  The
-    engine retires it once every application thread has finished (it works
-    identically on both backends: the bootstrap drives the generator).
+    engine retires it once every application thread has finished.
     """
     while True:
         yield Block("scabd replica idle", None)

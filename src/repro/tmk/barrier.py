@@ -89,11 +89,7 @@ class BarrierSubsystem:
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
-        return self.proc.drive(self.barrier_g(bid))
-
     def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
         proc = self.proc
         yield YIELD
         self.core.close_interval()

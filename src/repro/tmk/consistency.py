@@ -345,24 +345,15 @@ class LrcCore:
                     return False
         return True
 
-    def ensure_valid_runs(self, runs) -> None:
+    def ensure_valid_runs_g(self, runs):
         """Validate every page the access touches (LRC pages are never
         stolen, so run-by-run handling is race-free)."""
-        return self.proc.drive(self.ensure_valid_runs_g(runs))
-
-    def ensure_valid_runs_g(self, runs):
         for start, nbytes in runs:
             yield from self.ensure_valid_range_g(start, nbytes)
-
-    def ensure_writable_runs(self, runs) -> None:
-        return self.proc.drive(self.ensure_writable_runs_g(runs))
 
     def ensure_writable_runs_g(self, runs):
         for start, nbytes in runs:
             yield from self.ensure_writable_range_g(start, nbytes)
-
-    def ensure_valid_range(self, start: int, nbytes: int) -> None:
-        return self.proc.drive(self.ensure_valid_range_g(start, nbytes))
 
     def ensure_valid_range_g(self, start: int, nbytes: int):
         pt = self.pt
@@ -381,11 +372,8 @@ class LrcCore:
             if not valid[page]:
                 yield from self._fault_g(page)
 
-    def ensure_writable_range(self, start: int, nbytes: int) -> None:
-        """Validate and twin every page in the range before a write."""
-        return self.proc.drive(self.ensure_writable_range_g(start, nbytes))
-
     def ensure_writable_range_g(self, start: int, nbytes: int):
+        """Validate and twin every page in the range before a write."""
         pt = self.pt
         valid = pt.valid
         for page in pt.pages_for_range(start, nbytes):
@@ -533,13 +521,10 @@ class LrcCore:
     # ------------------------------------------------------------------
     # Garbage collection (TmkConfig.gc_every)
     # ------------------------------------------------------------------
-    def validate_all_pending(self) -> int:
+    def validate_all_pending_g(self):
         """Fault in every invalid page (GC phase 1: once everyone has done
         this, diffs below the global minimum vector time are dead).
         Returns the number of pages validated."""
-        return self.proc.drive(self.validate_all_pending_g())
-
-    def validate_all_pending_g(self):
         pages = sorted(self.pending)
         for page in pages:
             if not self.pt.is_valid(page):

@@ -96,11 +96,7 @@ class LockSubsystem:
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------
-    def acquire(self, lock: int) -> None:
-        return self.proc.drive(self.acquire_g(lock))
-
     def acquire_g(self, lock: int):
-        """Generator form of :meth:`acquire` (coro-backend convention)."""
         proc = self.proc
         yield YIELD
         self.core.close_interval()
@@ -158,11 +154,7 @@ class LockSubsystem:
         if self.core.sanitizer is not None:
             self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
 
-    def release(self, lock: int) -> None:
-        return self.proc.drive(self.release_g(lock))
-
     def release_g(self, lock: int):
-        """Generator form of :meth:`release` (coro-backend convention)."""
         proc = self.proc
         yield YIELD
         state = self._lock_state(lock)

@@ -8,8 +8,8 @@ sharing behave identically; only the trap mechanism differs (DESIGN.md
 section 2).
 
 Application discipline (enforced by returning read-only views): reads go
-through ``read``/``__getitem__``, writes through ``write``/``__setitem__``/
-``add``.  A view obtained before a synchronization operation must be
+through ``v = yield from a.read_g(key)``, writes through ``write_g``/
+``add_g``.  A view obtained before a synchronization operation must be
 re-read afterwards, just as a real DSM program must not cache shared values
 in registers across synchronization.
 """
@@ -273,12 +273,8 @@ class SharedArray:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, key: Any = slice(None)) -> np.ndarray:
-        """Read access: faults in any invalid page, returns a read-only view."""
-        return self.tmk.core.proc.drive(self._read_g(key, racy=False))
-
     def read_g(self, key: Any = slice(None)):
-        """Generator form of :meth:`read` (coro-backend convention).
+        """Read access: faults in any invalid page, returns a read-only view.
 
         Returns the generator directly (``yield from`` accepts any
         iterable), avoiding one delegating generator per read -- reads
@@ -286,19 +282,15 @@ class SharedArray:
         """
         return self._read_g(key, racy=False)
 
-    def read_racy(self, key: Any = slice(None)) -> np.ndarray:
+    def read_racy_g(self, key: Any = slice(None)):
         """Annotated intentionally-unsynchronized read.
 
-        Identical to :meth:`read` in faults, messages, and cost; the only
+        Identical to :meth:`read_g` in faults, messages, and cost; the only
         difference is that the race sanitizer treats it as a declared
         benign race (e.g. TSP pruning against a possibly-stale bound) and
         exempts it from the happens-before check.  The false-sharing
         analyzer still records it.
         """
-        return self.tmk.core.proc.drive(self._read_g(key, racy=True))
-
-    def read_racy_g(self, key: Any = slice(None)):
-        """Generator form of :meth:`read_racy`."""
         return self._read_g(key, racy=True)
 
     def _core_capabilities(self, core: Any) -> Tuple[Any, ...]:
@@ -330,42 +322,25 @@ class SharedArray:
             view.setflags(write=False)
         return view
 
-    def get(self, key: Any):
-        """Read one element (Python scalar)."""
-        value = self.read(key)
-        if isinstance(value, np.ndarray):
-            raise TypeError(f"get() with non-scalar index {key!r}")
-        return value
-
     def get_g(self, key: Any):
-        """Generator form of :meth:`get`."""
+        """Read one element (Python scalar)."""
         value = yield from self.read_g(key)
         if isinstance(value, np.ndarray):
             raise TypeError(f"get() with non-scalar index {key!r}")
         return value
 
-    def get_racy(self, key: Any):
-        """Read one element without synchronization (annotated benign
-        race; see :meth:`read_racy`)."""
-        value = self.read_racy(key)
-        if isinstance(value, np.ndarray):
-            raise TypeError(f"get_racy() with non-scalar index {key!r}")
-        return value
-
     def get_racy_g(self, key: Any):
-        """Generator form of :meth:`get_racy`."""
+        """Read one element without synchronization (annotated benign
+        race; see :meth:`read_racy_g`)."""
         value = yield from self.read_racy_g(key)
         if isinstance(value, np.ndarray):
             raise TypeError(f"get_racy() with non-scalar index {key!r}")
         return value
 
-    def __getitem__(self, key: Any):
-        return self.read(key)
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def write(self, key: Any, values: Any) -> None:
+    def write_g(self, key: Any, values: Any):
         """Write access: validates + twins every covered page, then stores.
 
         Single-writer cores (IVY) set ``prefers_piecewise_writes``: a
@@ -373,10 +348,6 @@ class SharedArray:
         under momentary ownership -- like real per-store traps -- because
         holding many contended pages simultaneously can livelock.
         """
-        return self.tmk.core.proc.drive(self.write_g(key, values))
-
-    def write_g(self, key: Any, values: Any):
-        """Generator form of :meth:`write`."""
         runs = self._touched_runs(key)
         core = self.tmk.core
         _, _, check, piecewise = self._core_capabilities(core)
@@ -424,23 +395,12 @@ class SharedArray:
                 pos += piece
         return True
 
-    def set(self, key: Any, value: Any) -> None:
-        """Write one element (alias of write for symmetric style)."""
-        self.write(key, value)
-
     def set_g(self, key: Any, value: Any):
-        """Generator form of :meth:`set`."""
+        """Write one element (alias of :meth:`write_g` for symmetric style)."""
         yield from self.write_g(key, value)
 
-    def __setitem__(self, key: Any, values: Any) -> None:
-        self.write(key, values)
-
-    def add(self, key: Any, values: Any) -> None:
-        """Read-modify-write: ``self[key] += values`` with full fault checks."""
-        return self.tmk.core.proc.drive(self.add_g(key, values))
-
     def add_g(self, key: Any, values: Any):
-        """Generator form of :meth:`add`."""
+        """Read-modify-write (``view[key] += values``), fully fault-checked."""
         runs = self._touched_runs(key)
         core = self.tmk.core
         check = self._core_capabilities(core)[2]

@@ -8,6 +8,7 @@ from repro.analysis.lint import lint_file, lint_paths, lint_source
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_app.py"
+GEN_FIXTURE = Path(__file__).parent / "fixtures" / "bad_app_gen.py"
 APPS = REPO / "src" / "repro" / "apps"
 
 
@@ -28,6 +29,14 @@ class TestStaleViews:
         assert codes(findings) == ["DSM001"]
         assert "barrier() at line 3" in findings[0].message
         assert "read at line 2" in findings[0].message
+        # The generator form every application body uses.
+        findings = lint_source(
+            "def f(tmk, grid):\n"
+            "    view = yield from grid.read_g()\n"
+            "    yield from tmk.barrier_g(0)\n"
+            "    return view.sum()\n")
+        assert codes(findings) == ["DSM001"]
+        assert "barrier() at line 3" in findings[0].message
 
     def test_view_used_after_lock_release(self):
         findings = lint_source(
@@ -37,6 +46,13 @@ class TestStaleViews:
             "    tmk.lock_release(0)\n"
             "    return view[0]\n")
         assert codes(findings) == ["DSM001"]
+        findings = lint_source(
+            "def f(tmk, grid):\n"
+            "    yield from tmk.lock_acquire_g(0)\n"
+            "    view = yield from grid.read_racy_g()\n"
+            "    yield from tmk.lock_release_g(0)\n"
+            "    return view[0]\n")
+        assert codes(findings) == ["DSM001"]
 
     def test_reread_clears_staleness(self):
         findings = lint_source(
@@ -44,6 +60,13 @@ class TestStaleViews:
             "    view = grid.read()\n"
             "    tmk.barrier(0)\n"
             "    view = grid.read()\n"
+            "    return view.sum()\n")
+        assert findings == []
+        findings = lint_source(
+            "def f(tmk, grid):\n"
+            "    view = yield from grid.read_g()\n"
+            "    yield from tmk.barrier_g(0)\n"
+            "    view = yield from grid.read_g()\n"
             "    return view.sum()\n")
         assert findings == []
 
@@ -129,7 +152,7 @@ class TestOtherCodes:
             "    row = grid.read()\n"
             "    row[0] += 1.0\n")
         assert codes(findings) == ["DSM002"]
-        assert "add()" in findings[0].message
+        assert "add_g()" in findings[0].message
 
     def test_direct_shared_array_construction(self):
         findings = lint_source(
@@ -149,8 +172,10 @@ class TestOtherCodes:
             "def f(tmk):\n"
             "    grid = tmk.shared_array('g', (8,), float)\n"
             "    grid.write(0, 1.0)\n"
-            "    grid[0] = 1.0\n"  # SharedArray.__setitem__, not a view
-            "    grid.add(1, 2.0)\n")
+            "    grid[0] = 1.0\n"  # a store on the array, not a view
+            "    grid.add(1, 2.0)\n"
+            "    yield from grid.write_g(0, 1.0)\n"
+            "    yield from grid.add_g(1, 2.0)\n")
         assert findings == []
 
 
@@ -159,9 +184,10 @@ class TestOtherCodes:
 # ----------------------------------------------------------------------
 class TestCorpus:
     def test_fixture_triggers_every_code(self):
-        findings = lint_file(FIXTURE)
-        assert sorted({f.code for f in findings}) == [
-            "DSM001", "DSM002", "DSM003", "DSM004"]
+        for fixture in (FIXTURE, GEN_FIXTURE):
+            findings = lint_file(fixture)
+            assert sorted({f.code for f in findings}) == [
+                "DSM001", "DSM002", "DSM003", "DSM004"], fixture.name
 
     def test_shipped_apps_are_clean(self):
         assert lint_paths([APPS]) == []

@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.sim.engine import Engine, EngineDeadlock
+from repro.sim.engine import YIELD, Block, Engine, EngineDeadlock
+
+
+def parked(reason, waiting_on=None):
+    """A task body that blocks until woken (or forever)."""
+    yield Block(reason, waiting_on)
 
 
 def run_threads(*fns, clocks=None):
-    """Spawn one thread per function, run, return the SimThreads."""
+    """Spawn one task per function, run, return the SimTasks."""
     engine = Engine()
     threads = []
     for i, fn in enumerate(fns):
@@ -64,9 +69,8 @@ class TestScheduling:
 
         def make(name):
             def body():
-                th = next(t for t in engine._threads if t.name == name)
                 order.append(name)
-                th.yield_point()
+                yield YIELD
                 order.append(name)
             return body
 
@@ -97,7 +101,7 @@ class TestScheduling:
         def body():
             th = engine._threads[0]
             th.advance(5.0)
-            th.yield_point()
+            yield YIELD
             order.append("thread")
 
         engine.spawn("a", body)
@@ -139,9 +143,8 @@ class TestBlocking:
         log = []
 
         def body():
-            th = engine._threads[0]
             log.append("blocking")
-            wake = th.block("wait for event")
+            wake = yield Block("wait for event")
             log.append(f"woke at {wake}")
 
         th = engine.spawn("a", body)
@@ -156,7 +159,7 @@ class TestBlocking:
         def body():
             th = engine._threads[0]
             th.advance(10.0)
-            th.block("wait")
+            yield Block("wait")
 
         th = engine.spawn("a", body)
         engine.post(1.0, lambda: engine.unblock(th, 1.0))
@@ -165,14 +168,14 @@ class TestBlocking:
 
     def test_deadlock_detected(self):
         engine = Engine()
-        engine.spawn("a", lambda: engine._threads[0].block("forever"))
+        engine.spawn("a", lambda: parked("forever"))
         with pytest.raises(EngineDeadlock, match="forever"):
             engine.run()
 
     def test_deadlock_message_names_all_blocked(self):
         engine = Engine()
-        engine.spawn("a", lambda: engine._threads[0].block("reason-a"))
-        engine.spawn("b", lambda: engine._threads[1].block("reason-b"))
+        engine.spawn("a", lambda: parked("reason-a"))
+        engine.spawn("b", lambda: parked("reason-b"))
         with pytest.raises(EngineDeadlock) as exc:
             engine.run()
         assert "reason-a" in str(exc.value)
@@ -198,7 +201,15 @@ class TestFailures:
 
     def test_other_threads_unwound_after_failure(self):
         engine = Engine()
-        blocked = engine.spawn("b", lambda: engine._threads[0].block("x"))
+        unwound = []
+
+        def waiter():
+            try:
+                yield Block("x")
+            finally:
+                unwound.append("b")
+
+        blocked = engine.spawn("b", waiter)
 
         def boom():
             raise RuntimeError("boom")
@@ -206,8 +217,18 @@ class TestFailures:
         engine.spawn("a", boom)
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
-        # The blocked thread's host thread must have been joined.
-        assert not blocked._host.is_alive()
+        # The blocked task was unwound: its finally block ran.
+        assert blocked.done and unwound == ["b"]
+
+    def test_unknown_effect_rejected(self):
+        engine = Engine()
+
+        def body():
+            yield "not an effect"
+
+        engine.spawn("a", body)
+        with pytest.raises(RuntimeError, match="unknown effect"):
+            engine.run()
 
     def test_cannot_run_twice_concurrently(self):
         engine = Engine()
@@ -238,7 +259,7 @@ class TestDaemons:
 
         def daemon():
             while True:
-                engine._threads[0].block("idle service loop")
+                yield Block("idle service loop")
 
         engine.spawn("svc", daemon, daemon=True)
         app = engine.spawn("app", lambda: engine._threads[1].advance(1.0))
@@ -249,13 +270,13 @@ class TestDaemons:
     def test_daemon_blocking_after_stop_unwinds(self):
         # Regression: if the application finishes before the daemon is
         # ever scheduled, the retire sweep marks it stopped while it is
-        # still READY.  Its later block() must unwind immediately -- there
+        # still READY.  Its later Block must unwind immediately -- there
         # is nobody left to unblock it -- instead of deadlocking the run.
         engine = Engine()
 
         def daemon():
             while True:
-                engine._threads[1].block("parked after stop")
+                yield Block("parked after stop")
 
         engine.spawn("app", lambda: None)  # finishes without yielding
         engine.spawn("svc", daemon, daemon=True)
@@ -268,7 +289,7 @@ class TestDaemons:
 
         def daemon():
             while True:
-                engine._threads[0].block("idle")
+                yield Block("idle")
 
         def app():
             engine._threads[1].advance(0.5)
@@ -293,7 +314,7 @@ class TestDeterminism:
                     for step in range(5):
                         th.advance(0.1 * ((i + step) % 3 + 1))
                         trace.append((i, round(th.clock, 6)))
-                        th.yield_point()
+                        yield YIELD
                 return body
 
             for i in range(4):
@@ -318,7 +339,7 @@ class TestSchedulerHook:
                     for _ in range(3):
                         order.append(i)
                         th.advance(0.5)
-                        th.yield_point()
+                        yield YIELD
                 return body
 
             for i in range(3):
@@ -367,11 +388,8 @@ class TestDeadlockDiagnostics:
     def test_deadlock_dump_includes_reason_and_dependency(self):
         engine = Engine()
 
-        def body():
-            engine._threads[0].block("waiting for grant",
-                                     waiting_on="P1 (manager)")
-
-        engine.spawn("stuck", body)
+        engine.spawn("stuck",
+                     lambda: parked("waiting for grant", "P1 (manager)"))
         with pytest.raises(EngineDeadlock) as err:
             engine.run()
         message = str(err.value)
@@ -381,15 +399,12 @@ class TestDeadlockDiagnostics:
     def test_wake_clears_dependency(self):
         engine = Engine()
 
-        def blocker():
-            engine._threads[0].block("brief wait", waiting_on="the poker")
-
         def poker():
             th = engine._threads[1]
             th.advance(1.0)
             engine.unblock(engine._threads[0], th.clock)
 
-        engine.spawn("blocker", blocker)
+        engine.spawn("blocker", lambda: parked("brief wait", "the poker"))
         engine.spawn("poker", poker)
         engine.run()
         th = engine._threads[0]
@@ -405,10 +420,7 @@ class TestWatchdog:
         def repost():
             engine.post(engine.horizon + 1.0, repost)
 
-        def body():
-            engine._threads[0].block("starved", waiting_on="nobody")
-
-        engine.spawn("starved", body)
+        engine.spawn("starved", lambda: parked("starved", "nobody"))
         engine.post(0.0, repost)
         with pytest.raises(EngineDeadlock) as err:
             engine.run()
@@ -427,7 +439,7 @@ class TestWatchdog:
             for i in range(10):
                 engine.post(th.clock, lambda i=i: fired.append(i))
                 th.advance(0.1)
-                th.yield_point()
+                yield YIELD
 
         engine.spawn("busy", body)
         engine.run()
@@ -440,20 +452,29 @@ class TestAbortUnwind:
 
         def failer():
             engine._threads[0].advance(0.5)
+            yield YIELD  # the bystander (clock 0) parks first
             raise RuntimeError("boom")
 
+        unwound = []
+
         def bystander():
-            engine._threads[1].block("waiting forever")
+            try:
+                yield Block("waiting forever")
+            finally:
+                unwound.append("bystander")
 
         engine.spawn("failer", failer)
         engine.spawn("bystander", bystander)
+        engine.spawn("never-ran", lambda: unwound.append("never-ran"),
+                     clock=1.0)
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
-        # Every simulated thread (including the blocked bystander) is
-        # unwound and its host thread has exited.
+        # Every simulated task is unwound: the blocked bystander's finally
+        # block ran, and a task that never started is not started by the
+        # abort.
         for th in engine._threads:
             assert th.state == "done"
-            assert not th._host.is_alive()
+        assert unwound == ["bystander"]
 
     def test_run_reentry_from_inside_rejected(self):
         engine = Engine()
