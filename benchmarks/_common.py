@@ -37,17 +37,23 @@ def emit(capsys, name: str, text: str) -> None:
         print(text)
 
 
+def live_run(exp_id: str, system: str, nprocs: int = 8, **options):
+    """One verified, always-simulated run; returns its live
+    ``ParallelResult``.  ``options`` are :class:`repro.api.RunConfig`
+    fields (``faults``, ``recovery``, ``analysis``, ``obs``, ...)."""
+    config = api.RunConfig(experiment=exp_id, system=system, nprocs=nprocs,
+                           preset=PRESET, **options)
+    return api.run(config, want_parallel=True).parallel
+
+
 def figure_benchmark(benchmark, capsys, exp_id: str) -> None:
     """The common body of every figure benchmark."""
     exp = harness.EXPERIMENTS[exp_id]
-    # Time the heaviest unit as a *live* simulation (use_cache=False so a
-    # warm persistent cache cannot turn this into a disk read); the
-    # in-process memo still shares the run with the series below.
-    benchmark.pedantic(
-        lambda: api.run(api.RunConfig(experiment=exp_id, system="tmk",
-                                      nprocs=8, preset=PRESET),
-                        use_cache=False, want_parallel=True),
-        rounds=1, iterations=1)
+    # Time the heaviest unit as a *live* simulation (want_parallel always
+    # simulates, so a warm persistent cache cannot turn this into a disk
+    # read); the record it stores serves the series below.
+    benchmark.pedantic(lambda: live_run(exp_id, "tmk"),
+                       rounds=1, iterations=1)
     tmk = api.speedup_series(exp_id, "tmk", NPROCS, PRESET)
     pvm = api.speedup_series(exp_id, "pvm", NPROCS, PRESET)
     title = f"Figure {exp.figure}: {exp.label} ({PRESET} preset: " \

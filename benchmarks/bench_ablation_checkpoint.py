@@ -8,14 +8,14 @@ but loses little work at a crash; a long (or infinite) interval is free
 until the crash, which then throws away everything since the start.
 
 Every recovered run must still produce results identical to the
-fault-free one on both systems -- ``run_cached`` verifies each against
+fault-free one on both systems -- ``api.run`` verifies each against
 the sequential run, and the recovery ledger reports where the overhead
 went (detection latency, lost work re-executed, checkpoint restore).
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
-from repro.bench import harness
+from repro import api
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import RecoveryConfig
 
@@ -31,12 +31,11 @@ def _recovery(interval):
 
 
 def test_ablation_checkpoint(benchmark, capsys):
-    seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
+    seq = api.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
 
     benchmark.pedantic(
-        lambda: harness.run_cached("fig02", "tmk", NPROCS, PRESET,
-                                   faults=CRASH,
-                                   recovery=_recovery(INTERVALS[1])),
+        lambda: live_run("fig02", "tmk", NPROCS, faults=CRASH,
+                         recovery=_recovery(INTERVALS[1])),
         rounds=1, iterations=1)
 
     rows = [
@@ -49,13 +48,12 @@ def test_ablation_checkpoint(benchmark, capsys):
     ]
     runs = {}
     for system in ("tmk", "pvm"):
-        clean = harness.run_cached("fig02", system, NPROCS, PRESET)
+        clean = live_run("fig02", system, NPROCS)
         rows.append(f"{system:>8}{'none':>7}{seq / clean.time:>9.2f}"
                     f"{'-':>8}{'-':>9}{'-':>8}{'-':>10}")
         for interval in INTERVALS:
-            run = harness.run_cached("fig02", system, NPROCS, PRESET,
-                                     faults=CRASH,
-                                     recovery=_recovery(interval))
+            run = live_run("fig02", system, NPROCS, faults=CRASH,
+                           recovery=_recovery(interval))
             runs[(system, interval)] = run
             report = run.recovery
             ckpt = run.stats.recovery().get("checkpoint")

@@ -8,8 +8,9 @@ data.  The paper's conclusion proposes exactly this kind of runtime/
 compiler integration; ``TmkConfig.coalesce_diffs`` implements it.
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
@@ -20,7 +21,7 @@ def test_ablation_diff_coalescing(benchmark, capsys):
     params = harness.params_for(exp, PRESET)
     spec = base.get_app(exp.app)
 
-    default = harness.run_cached("fig05", "tmk", 8, PRESET)
+    default = live_run("fig05", "tmk")
     coalesced = benchmark.pedantic(
         lambda: base.run_parallel(
             exp.app, "tmk", 8, params,
@@ -28,7 +29,7 @@ def test_ablation_diff_coalescing(benchmark, capsys):
                                  coalesce_diffs=True)),
         rounds=1, iterations=1)
 
-    seq = harness.seq_time("fig05", PRESET)
+    seq = api.seq_time("fig05", PRESET)
     report = "\n".join([
         "Ablation: diff coalescing on IS-Large (TreadMarks, 8 processors)",
         "",

@@ -8,8 +8,9 @@ own saturation example.  Disabling the shared-medium serialization
 of each PVM run.
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 from repro.sim.costmodel import CostModel
@@ -27,8 +28,8 @@ def test_ablation_ring_contention(benchmark, capsys):
     for exp_id in ("fig11", "fig10"):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
-        seq = harness.seq_time(exp_id, PRESET)
-        shared = harness.run_cached(exp_id, "pvm", 8, PRESET)
+        seq = api.seq_time(exp_id, PRESET)
+        shared = live_run(exp_id, "pvm")
         if exp_id == "fig11":
             private = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "pvm", 8, params,

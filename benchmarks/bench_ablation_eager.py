@@ -8,8 +8,9 @@ on lock-heavy codes (every release notifies n-1 processors whether or
 not they will ever touch the data).
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
@@ -27,8 +28,8 @@ def test_ablation_eager_release_consistency(benchmark, capsys):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
         spec = base.get_app(exp.app)
-        seq = harness.seq_time(exp_id, PRESET)
-        lazy = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        seq = api.seq_time(exp_id, PRESET)
+        lazy = live_run(exp_id, "tmk")
         config = TmkConfig(segment_bytes=spec.segment_bytes,
                            protocol="eager")
         if exp_id == "fig08":

@@ -8,8 +8,9 @@ page, so false sharing turns into page ping-pong; TreadMarks' diffs and
 lazy notices remove almost all of it.
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 
@@ -25,8 +26,8 @@ def test_ablation_ivy_vs_treadmarks(benchmark, capsys):
     for exp_id in ("fig08", "fig03"):  # Water-288 and SOR-NonZero (DRF)
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
-        seq = harness.seq_time(exp_id, PRESET)
-        tmk = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        seq = api.seq_time(exp_id, PRESET)
+        tmk = live_run(exp_id, "tmk")
         if exp_id == "fig08":
             ivy = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "ivy", 8, params),

@@ -13,9 +13,9 @@ direct TCP connections pay inside the kernel's RTO machinery.  Either way
 the run gets slower, never wrong.
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
-from repro.bench import harness
+from repro import api
 from repro.sim.faults import FaultPlan
 
 NPROCS = 8
@@ -29,11 +29,11 @@ def _plan(loss):
 
 
 def test_ablation_loss(benchmark, capsys):
-    seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
+    seq = api.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
 
     benchmark.pedantic(
-        lambda: harness.run_cached("fig02", "tmk", NPROCS, PRESET,
-                                   faults=_plan(LOSS_RATES[-1])),
+        lambda: live_run("fig02", "tmk", NPROCS,
+                         faults=_plan(LOSS_RATES[-1])),
         rounds=1, iterations=1)
 
     rows = [
@@ -46,8 +46,7 @@ def test_ablation_loss(benchmark, capsys):
     runs = {}
     for system in ("tmk", "pvm"):
         for loss in LOSS_RATES:
-            run = harness.run_cached("fig02", system, NPROCS, PRESET,
-                                     faults=_plan(loss))
+            run = live_run("fig02", system, NPROCS, faults=_plan(loss))
             runs[(system, loss)] = run
             rel = run.stats.reliability(system)
             retrans = rel.get("retransmit")
@@ -63,7 +62,7 @@ def test_ablation_loss(benchmark, capsys):
         clean = runs[(system, 0.0)]
         for loss in LOSS_RATES[1:]:
             lossy = runs[(system, loss)]
-            # run_cached verified each result against the sequential run;
+            # api.run verified each result against the sequential run;
             # the lossy run must also not be faster than the clean one.
             assert lossy.time >= clean.time
             retrans = lossy.stats.reliability(system).get("retransmit")

@@ -9,6 +9,7 @@ further; growing it has diminishing returns.
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 from repro.sim.costmodel import CostModel
@@ -26,7 +27,7 @@ def test_ablation_udp_mtu(benchmark, capsys):
     exp = harness.EXPERIMENTS["fig05"]  # IS-Large: bulk diff traffic
     params = harness.params_for(exp, PRESET)
     spec = base.get_app(exp.app)
-    seq = harness.seq_time("fig05", PRESET)
+    seq = api.seq_time("fig05", PRESET)
 
     small = benchmark.pedantic(lambda: _run(params, spec, 1500),
                                rounds=1, iterations=1)

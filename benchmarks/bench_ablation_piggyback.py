@@ -7,8 +7,9 @@ implements exactly that for lock grants; on lock-driven migratory
 workloads (IS, TSP) it removes fault round trips.
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
@@ -29,8 +30,8 @@ def test_ablation_grant_piggybacking(benchmark, capsys):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
         spec = base.get_app(exp.app)
-        seq = harness.seq_time(exp_id, PRESET)
-        plain = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        seq = api.seq_time(exp_id, PRESET)
+        plain = live_run(exp_id, "tmk")
         config = TmkConfig(segment_bytes=spec.segment_bytes,
                            piggyback_budget=_BUDGET)
         if exp_id == "fig05":

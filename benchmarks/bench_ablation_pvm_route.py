@@ -7,8 +7,9 @@ processes in our experiments because it results in better performance."
 This bench quantifies that choice on IS-Small (latency-sensitive chain).
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
+from repro import api
 from repro.apps import base
 from repro.bench import harness
 
@@ -17,13 +18,13 @@ def test_ablation_pvm_routing(benchmark, capsys):
     exp = harness.EXPERIMENTS["fig04"]  # IS-Small
     params = harness.params_for(exp, PRESET)
 
-    direct = harness.run_cached("fig04", "pvm", 8, PRESET)
+    direct = live_run("fig04", "pvm")
     routed = benchmark.pedantic(
         lambda: base.run_parallel(exp.app, "pvm", 8, params,
                                   pvm_route="daemon"),
         rounds=1, iterations=1)
 
-    seq = harness.seq_time("fig04", PRESET)
+    seq = api.seq_time("fig04", PRESET)
     report = "\n".join([
         "Ablation: PVM message routing on IS-Small (8 processors)",
         "",

@@ -11,7 +11,7 @@ stalls attributed to the paper's four mechanisms (sync/data separation,
 diff-request round trips, false sharing, diff accumulation).
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
 from repro.analysis import AnalysisConfig
 from repro.bench import harness
@@ -20,13 +20,13 @@ from repro.obs import ObsConfig, build_profile, render_profile
 
 
 def test_analysis_time_decomposition(benchmark, capsys):
-    benchmark.pedantic(lambda: harness.run_cached("fig06", "tmk", 8, PRESET),
+    benchmark.pedantic(lambda: live_run("fig06", "tmk"),
                        rounds=1, iterations=1)
     reports = []
     shares = {}
     for exp_id in ("fig06", "fig02", "fig05"):
         exp = harness.EXPERIMENTS[exp_id]
-        run = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        run = live_run(exp_id, "tmk")
         breakdown = decompose(run)
         shares[exp_id] = breakdown
         reports.append(render_breakdown(
@@ -52,16 +52,14 @@ def test_causal_breakdown_all_configs(benchmark, capsys):
     obs = ObsConfig(profile=True)
     fs = AnalysisConfig(false_sharing=True)
     benchmark.pedantic(
-        lambda: harness.run_cached("fig08", "tmk", 8, PRESET,
-                                   analysis=fs, obs=obs),
+        lambda: live_run("fig08", "tmk", analysis=fs, obs=obs),
         rounds=1, iterations=1)
     reports = []
     profiles = {}
     for exp_id, exp in harness.EXPERIMENTS.items():
         for system in ("tmk", "pvm"):
             analysis = fs if system == "tmk" else None
-            run = harness.run_cached(exp_id, system, 8, PRESET,
-                                     analysis=analysis, obs=obs)
+            run = live_run(exp_id, system, analysis=analysis, obs=obs)
             profile = build_profile(
                 run, label=f"{exp.label} ({PRESET}, 8 procs)")
             profiles[(exp_id, system)] = profile

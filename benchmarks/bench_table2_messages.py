@@ -14,18 +14,15 @@ paper derives from this table are asserted:
   consistency ships exactly the written words).
 """
 
-from _common import PRESET, emit
+from _common import PRESET, emit, live_run
 
 from repro import api
 from repro.bench import harness, tables
 
 
 def test_table2_messages_and_data(benchmark, capsys):
-    benchmark.pedantic(
-        lambda: api.run(api.RunConfig(experiment="fig05", system="tmk",
-                                      nprocs=8, preset=PRESET),
-                        use_cache=False, want_parallel=True),
-        rounds=1, iterations=1)
+    benchmark.pedantic(lambda: live_run("fig05", "tmk"),
+                       rounds=1, iterations=1)
     report = tables.render_table2(preset=PRESET)
     emit(capsys, "table2", report)
 

@@ -20,11 +20,13 @@ examples.  The facade collapses all of that into two types and one call:
   the persistent result cache*: a warm call returns the stored record
   without simulating anything.
 
-Results served from disk carry only the summary record
-(``result.parallel is None``); pass ``want_parallel=True`` when live
-artifacts (stats buckets, endpoints, sanitizer, profiler) are needed --
-the run then executes in-process (memoized) and still populates the
-disk cache for later summary-level readers.
+:func:`run` is the only way to run an experiment; figures, tables, paper
+checks, the sweep and the server all go through it.  Records carry only
+the summary (``result.parallel is None``) unless the caller passes
+``want_parallel=True``: the run then always executes, the live
+``ParallelResult`` (stats buckets, endpoints, sanitizer, profiler) rides
+on the returned record, and the summary still lands in the disk cache.
+Nothing keeps a live result beyond its caller.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.analysis.races import AnalysisConfig
 from repro.bench.cache import (ResultCache, cache_key_from_material,
                                canonical_json, default_cache,
                                source_fingerprint)
+from repro.kernels import DEFAULT_BACKEND, KERNEL_CHOICES
 from repro.obs.core import ObsConfig
 from repro.scabd.config import ReplicationConfig
 from repro.sim.costmodel import CostModel
@@ -139,13 +142,12 @@ class RunConfig:
     #: times are identical with or without it.
     invariants: bool = False
     #: Page-ops kernel backend: ``"pure"`` (reference), ``"numpy"``
-    #: (vectorized default), or ``"compiled"`` (C extension; falls back
-    #: to numpy when unbuilt).  All backends are byte-identical
+    #: (vectorized), or ``"compiled"`` (C extension; falls back to numpy
+    #: when unbuilt).  All backends are byte-identical
     #: (enforced by tests/kernels/), so the cache key ignores this too.
-    kernels: str = "numpy"
+    kernels: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
-        from repro.kernels import KERNEL_CHOICES
         if self.kernels not in KERNEL_CHOICES:
             raise ValueError(
                 f"kernels must be one of {KERNEL_CHOICES}, "
@@ -208,7 +210,7 @@ class RunConfig:
             replication=_dataclass_from_json(ReplicationConfig,
                                              data.get("replication")),
             invariants=bool(data.get("invariants", False)),
-            kernels=data.get("kernels", "numpy"),
+            kernels=data.get("kernels", DEFAULT_BACKEND),
         )
 
 
@@ -378,13 +380,14 @@ def run(config: RunConfig, *, use_cache: bool = True,
     """Run one experiment configuration through the result cache.
 
     * On a cache hit, returns the stored :class:`RunResult` without
-      simulating anything (``result.cached`` is True, ``result.parallel``
-      is None).  Cached records were verified against the sequential
-      program when first computed.
+      simulating anything (``result.cached`` is True).  Cached records
+      were verified against the sequential program when first computed.
     * On a miss (or with ``want_parallel=True``, which always executes),
-      runs the simulation in-process via the bench harness -- memoized
-      per process, and every parallel result is verified against the
-      sequential run -- then stores the record for future sessions.
+      simulates in-process, verifies the parallel result against the
+      sequential run, and stores the record for later calls.
+
+    ``result.parallel`` holds the live ``ParallelResult`` only when
+    ``want_parallel=True``; otherwise it is dropped before returning.
     """
     if config.experiment == "all":
         raise ValueError("run() takes a single experiment id; "
@@ -402,19 +405,40 @@ def run(config: RunConfig, *, use_cache: bool = True,
                                                cache_key=key)
                 except (KeyError, ValueError):
                     pass  # corrupt/old entry: recompute below
-    return _execute(config, store, key)
+    result = _execute(config)
+    if store is not None:
+        store.put(key, result.to_json())
+        result.cache_key = key
+    if not want_parallel:
+        result.parallel = None
+    return result
 
 
-def _execute(config: RunConfig, store: Optional[ResultCache],
-             key: Optional[str]) -> RunResult:
+def _execute(config: RunConfig) -> RunResult:
+    """Simulate one run and check it against the sequential program
+    (every run is also a correctness check -- including lossy and
+    crash/recovery runs, whose results must match the fault-free ones)."""
+    from repro.apps import base
     from repro.bench import harness
-    par = harness.run_cached(
-        config.experiment, config.system, config.nprocs, config.preset,
-        faults=config.faults, analysis=config.analysis,
-        recovery=config.recovery, obs=config.obs, cost=config.cost,
-        replication=config.replication, invariants=config.invariants,
-        kernels=config.kernels)
-    seq = harness.seq_time(config.experiment, config.preset)
+    exp = harness.EXPERIMENTS[config.experiment]
+    analysis = config.analysis
+    if analysis is not None and not analysis.enabled:
+        analysis = None
+    obs = config.obs
+    if obs is not None and not obs.enabled:
+        obs = None
+    par = base.run_parallel(exp.app, config.system, config.nprocs,
+                            harness.params_for(exp, config.preset),
+                            cost=config.cost, faults=config.faults,
+                            analysis=analysis, recovery=config.recovery,
+                            obs=obs, replication=config.replication,
+                            invariants=config.invariants,
+                            kernels=config.kernels)
+    seq = harness._seq(config.experiment, config.preset)
+    if not base.get_app(exp.app).verify(par.result, seq.result):
+        raise AssertionError(
+            f"{config.experiment} ({config.system}, {config.nprocs} procs): "
+            "parallel result does not match the sequential run")
     recovery = None
     if par.recovery is not None:
         report = par.recovery
@@ -441,13 +465,13 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
             "messages": rep.messages,
             "bytes": rep.bytes,
         }
-    result = RunResult(
+    return RunResult(
         experiment=config.experiment,
         system=config.system,
         nprocs=config.nprocs,
         preset=config.preset,
         time=par.time,
-        seq_time=seq,
+        seq_time=seq.time,
         messages=par.total_messages(),
         kbytes=par.total_kbytes(),
         link_utilization=par.cluster.link_utilization,
@@ -455,12 +479,6 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         replication=replication,
         parallel=par,
     )
-    if store is not None:
-        if key is None:
-            key = cache_key(config)
-        store.put(key, result.to_json())
-        result.cache_key = key
-    return result
 
 
 def seq_time(experiment: str, preset: str = "bench", *,
@@ -476,7 +494,7 @@ def seq_time(experiment: str, preset: str = "bench", *,
         if payload is not None and isinstance(payload.get("time"), float):
             return payload["time"]
     from repro.bench import harness
-    time = harness.seq_time(experiment, preset)
+    time = harness._seq(experiment, preset).time
     if store is not None:
         store.put(key, {"time": time})
     return time

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.races import AnalysisConfig, attach_sanitizer
+from repro.kernels import DEFAULT_BACKEND
 from repro.obs.core import ObsConfig
 from repro.sim.cluster import Cluster, ClusterConfig, ClusterResult, Processor
 from repro.sim.costmodel import CostModel
@@ -186,7 +187,7 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
                  replication: Optional[ReplicationConfig] = None,
                  scheduler: Optional[Any] = None,
                  invariants: bool = False,
-                 kernels: str = "numpy") -> ParallelResult:
+                 kernels: str = DEFAULT_BACKEND) -> ParallelResult:
     """Run one application on a fresh simulated cluster.
 
     ``system`` is ``"tmk"``, ``"pvm"``, or ``"ivy"`` (the sequentially-

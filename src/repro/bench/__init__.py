@@ -1,7 +1,9 @@
 """Experiment harness reproducing the paper's tables and figures.
 
 * :mod:`repro.bench.harness` -- the registry of the paper's 12 experiment
-  configurations, cached runners, and speedup series.
+  configurations and their presets.  Runs, speedup series and message
+  counts come from :mod:`repro.api` (``run``, ``speedup_series``,
+  ``messages_at``, ``seq_time``).
 * :mod:`repro.bench.tables` -- Table 1 (sequential times) and Table 2
   (messages and data at 8 processors) renderers.
 * :mod:`repro.bench.figures` -- ASCII speedup curves in the style of the
@@ -14,9 +16,7 @@
 """
 
 from repro.bench.cache import ResultCache, default_cache
-from repro.bench.harness import (EXPERIMENTS, Experiment, clear_cache,
-                                 messages_at, run_cached, seq_time,
-                                 speedup_series)
+from repro.bench.harness import EXPERIMENTS, Experiment, clear_cache
 from repro.bench.figures import render_figure
 from repro.bench.paper import EXPECTATIONS, Expectation, check_experiment
 from repro.bench.sweep import SweepReport, SweepRun, run_sweep, sweep_configs
@@ -33,13 +33,9 @@ __all__ = [
     "check_experiment",
     "clear_cache",
     "default_cache",
-    "messages_at",
     "render_figure",
     "render_table1",
     "render_table2",
-    "run_cached",
     "run_sweep",
-    "seq_time",
-    "speedup_series",
     "sweep_configs",
 ]

@@ -1,4 +1,4 @@
-"""Experiment registry and cached runners.
+"""Experiment registry and the sequential-reference memo.
 
 The paper evaluates nine applications, three of them with two input sets,
 giving twelve configurations (Figures 1-12 plus Tables 1 and 2).  Each
@@ -6,21 +6,19 @@ giving twelve configurations (Figures 1-12 plus Tables 1 and 2).  Each
 run the whole grid in minutes of host time) and the ``paper`` preset (the
 published problem size).
 
-Runs are memoized per process so Table 2 and the figures share the
-8-processor runs.
+Experiments run through :func:`repro.api.run`.  The only per-process
+state here is the memo of sequential reference runs, which every
+parallel run is verified against: it is keyed by (experiment, preset),
+so it holds at most 12 x 3 entries, and a long-lived server's cold
+misses reuse it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.analysis.races import AnalysisConfig
 from repro.apps import base
-from repro.scabd.config import ReplicationConfig
-from repro.sim.costmodel import CostModel
-from repro.sim.faults import FaultPlan
-from repro.sim.recovery import RecoveryConfig
 from repro.apps.barnes_hut import BhParams
 from repro.apps.ep import EpParams
 from repro.apps.fft3d import FftParams
@@ -35,10 +33,6 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "clear_cache",
-    "messages_at",
-    "run_cached",
-    "seq_time",
-    "speedup_series",
 ]
 
 #: The processor counts the paper's figures sweep.
@@ -139,20 +133,13 @@ def size_string(exp: Experiment, preset: str = "bench") -> str:
 
 
 # ----------------------------------------------------------------------
-# Cached runners
+# Sequential reference runs
 # ----------------------------------------------------------------------
 _SEQ_CACHE: Dict[Tuple[str, str], base.SeqResult] = {}
-_PAR_CACHE: Dict[Tuple[str, str, str, int], base.ParallelResult] = {}
 
 
 def clear_cache() -> None:
     _SEQ_CACHE.clear()
-    _PAR_CACHE.clear()
-
-
-def seq_time(exp_id: str, preset: str = "bench") -> float:
-    """Sequential virtual time (the Table 1 number)."""
-    return _seq(exp_id, preset).time
 
 
 def _seq(exp_id: str, preset: str) -> base.SeqResult:
@@ -161,69 +148,3 @@ def _seq(exp_id: str, preset: str) -> base.SeqResult:
         exp = EXPERIMENTS[exp_id]
         _SEQ_CACHE[key] = base.run_sequential(exp.app, params_for(exp, preset))
     return _SEQ_CACHE[key]
-
-
-def run_cached(exp_id: str, system: str, nprocs: int,
-               preset: str = "bench",
-               faults: Optional[FaultPlan] = None,
-               analysis: Optional[AnalysisConfig] = None,
-               recovery: Optional[RecoveryConfig] = None,
-               obs: Optional[ObsConfig] = None,
-               cost: Optional[CostModel] = None,
-               replication: Optional[ReplicationConfig] = None,
-               invariants: bool = False,
-               kernels: str = "numpy") -> base.ParallelResult:
-    """One parallel run, memoized in-process, with its result verified
-    against the sequential version (every bench run is also a correctness
-    check -- including lossy and crash/recovery runs, whose results must
-    match the fault-free ones).
-
-    This is the *live* runner: it returns the full ParallelResult with
-    stats buckets, endpoints, sanitizer, and profiler attached.  Most
-    callers want :func:`repro.api.run` instead, which reads through the
-    persistent on-disk cache and returns the versioned summary record.
-    """
-    if analysis is not None and not analysis.enabled:
-        analysis = None
-    if obs is not None and not obs.enabled:
-        obs = None
-    key = (exp_id, preset, system, nprocs, faults, analysis, recovery, obs,
-           cost, replication, invariants, kernels)
-    if key not in _PAR_CACHE:
-        exp = EXPERIMENTS[exp_id]
-        result = base.run_parallel(exp.app, system, nprocs,
-                                   params_for(exp, preset), cost=cost,
-                                   faults=faults,
-                                   analysis=analysis, recovery=recovery,
-                                   obs=obs, replication=replication,
-                                   invariants=invariants, kernels=kernels)
-        seq = _seq(exp_id, preset)
-        spec = base.get_app(exp.app)
-        if not spec.verify(result.result, seq.result):
-            raise AssertionError(
-                f"{exp_id} ({system}, {nprocs} procs): parallel result "
-                "does not match the sequential run")
-        _PAR_CACHE[key] = result
-    return _PAR_CACHE[key]
-
-
-def speedup_series(exp_id: str, system: str,
-                   nprocs_list: Sequence[int] = NPROCS_SERIES,
-                   preset: str = "bench") -> List[float]:
-    """Speedups over the sequential run (one of the paper's curves).
-
-    Reads through the persistent result cache via :mod:`repro.api`, so
-    re-rendering a figure after a warm sweep simulates nothing.
-    """
-    from repro import api
-    return api.speedup_series(exp_id, system, nprocs_list, preset)
-
-
-def messages_at(exp_id: str, system: str, nprocs: int = 8,
-                preset: str = "bench") -> Tuple[int, float]:
-    """(messages, kilobytes) for one system at ``nprocs`` (Table 2).
-
-    Reads through the persistent result cache via :mod:`repro.api`.
-    """
-    from repro import api
-    return api.messages_at(exp_id, system, nprocs, preset)

@@ -15,15 +15,15 @@ that matter (see EXPERIMENTS.md):
   ``n*(n-1)/(2*(n-1))`` times the data for IS (diff accumulation), and
   more data everywhere else (false sharing, write notices).
 
-Every expectation here is evaluated against measured 8-processor runs.
+Every expectation here is evaluated against measured 8-processor runs,
+read through the persistent result cache: after a warm sweep the checks
+simulate nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
-
-from repro.bench import harness
 
 __all__ = ["EXPECTATIONS", "Expectation", "CheckResult", "check_experiment"]
 
@@ -100,12 +100,13 @@ class CheckResult:
 def check_experiment(exp_id: str, preset: str = "bench",
                      nprocs: int = 8) -> List[CheckResult]:
     """Evaluate the paper's expectations against measured runs."""
+    from repro import api
     exp = EXPECTATIONS[exp_id]
-    seq = harness.seq_time(exp_id, preset)
-    tmk = harness.run_cached(exp_id, "tmk", nprocs, preset)
-    pvm = harness.run_cached(exp_id, "pvm", nprocs, preset)
-    sp_tmk = seq / tmk.time
-    sp_pvm = seq / pvm.time
+    tmk, pvm = (api.run(api.RunConfig(experiment=exp_id, system=system,
+                                      nprocs=nprocs, preset=preset))
+                for system in ("tmk", "pvm"))
+    sp_tmk = tmk.speedup
+    sp_pvm = pvm.speedup
     ratio = sp_tmk / sp_pvm
     out: List[CheckResult] = []
 
@@ -114,20 +115,20 @@ def check_experiment(exp_id: str, preset: str = "bench",
         f"TMK/PVM = {sp_tmk:.2f}/{sp_pvm:.2f} = {ratio:.2f} "
         f"(expected {exp.ratio_lo:.2f}..{exp.ratio_hi:.2f})"))
 
-    msg_ratio = tmk.total_messages() / max(pvm.total_messages(), 1)
+    msg_ratio = tmk.messages / max(pvm.messages, 1)
     out.append(CheckResult(
         "message ratio",
         exp.msg_ratio_lo <= msg_ratio <= exp.msg_ratio_hi,
-        f"TMK/PVM messages = {tmk.total_messages()}/{pvm.total_messages()} "
+        f"TMK/PVM messages = {tmk.messages}/{pvm.messages} "
         f"= {msg_ratio:.1f}x (expected >= {exp.msg_ratio_lo:.1f}x)"))
 
     if exp.data_ratio_lo is not None or exp.data_ratio_hi is not None:
         lo = exp.data_ratio_lo if exp.data_ratio_lo is not None else 0.0
         hi = exp.data_ratio_hi if exp.data_ratio_hi is not None else float("inf")
-        data_ratio = tmk.total_kbytes() / max(pvm.total_kbytes(), 1e-9)
+        data_ratio = tmk.kbytes / max(pvm.kbytes, 1e-9)
         out.append(CheckResult(
             "data ratio", lo <= data_ratio <= hi,
-            f"TMK/PVM data = {tmk.total_kbytes():.0f}/{pvm.total_kbytes():.0f} KB "
+            f"TMK/PVM data = {tmk.kbytes:.0f}/{pvm.kbytes:.0f} KB "
             f"= {data_ratio:.2f}x (expected {lo:.2f}..{hi:.2f})"))
 
     if exp.max_speedup is not None:

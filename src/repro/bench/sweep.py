@@ -29,6 +29,7 @@ from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
+from repro.kernels import DEFAULT_BACKEND
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import RunConfig, RunResult
@@ -51,16 +52,15 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
                   systems: Sequence[str] = ("tmk", "pvm"),
                   nprocs: Sequence[int] = (8,),
                   preset: str = "bench",
-                  kernels: str = "compiled") -> List[RunConfig]:
+                  kernels: str = DEFAULT_BACKEND) -> List[RunConfig]:
     """The standard run grid: experiments x systems x processor counts.
 
     ``experiments=None`` (or the single id ``"all"``) means all twelve
     paper configurations, in figure order -- with the default arguments
     that is the 24-run grid behind the figures and tables.
 
-    The sweep defaults to the fastest kernels, ``compiled`` (which
-    silently falls back to numpy when the extension is not built).  The
-    knob is host-side only: every kernel backend produces byte-identical
+    ``kernels`` picks the page-ops backend (``repro.kernels``).  The knob
+    is host-side only: every kernel backend produces byte-identical
     results and shares one cache key, so a sweep run with one backend
     serves warm reads for any other.
     """
@@ -202,7 +202,6 @@ def _run_serial(configs: Sequence[RunConfig], use_cache: bool,
     for config in configs:
         started = time.perf_counter()
         result = run(config, use_cache=use_cache, cache=cache)
-        result.parallel = None  # summary-level parity with worker results
         runs.append(SweepRun(config=config, result=result,
                              cached=result.cached,
                              wall_seconds=time.perf_counter() - started))

@@ -44,7 +44,11 @@ def render_table1(exp_ids: Optional[Sequence[str]] = None,
 
 def render_table2(exp_ids: Optional[Sequence[str]] = None,
                   preset: str = "bench", nprocs: int = 8) -> str:
-    """Reproduce Table 2: messages and kilobytes at 8 processors."""
+    """Reproduce Table 2: messages and kilobytes at 8 processors.
+
+    Reads through the persistent result cache (:func:`repro.api.run`).
+    """
+    from repro import api
     rows = [f"Table 2: Messages and Data at {nprocs} Processors "
             f"({preset} preset)",
             "",
@@ -53,8 +57,8 @@ def render_table2(exp_ids: Optional[Sequence[str]] = None,
             "-" * 58]
     for exp_id in _experiments(exp_ids):
         exp = harness.EXPERIMENTS[exp_id]
-        tmk_msgs, tmk_kb = harness.messages_at(exp_id, "tmk", nprocs, preset)
-        pvm_msgs, pvm_kb = harness.messages_at(exp_id, "pvm", nprocs, preset)
+        tmk_msgs, tmk_kb = api.messages_at(exp_id, "tmk", nprocs, preset)
+        pvm_msgs, pvm_kb = api.messages_at(exp_id, "pvm", nprocs, preset)
         rows.append(f"{exp.label:<14}{tmk_msgs:>11d}{tmk_kb:>11.0f}"
                     f"{pvm_msgs:>11d}{pvm_kb:>11.0f}")
     return "\n".join(rows)

@@ -33,6 +33,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.kernels import DEFAULT_BACKEND, KERNEL_CHOICES
+
 __all__ = ["build_parser", "main"]
 
 
@@ -93,12 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the runtime protocol-invariant monitors "
                           "(repro.verify): a broken coherence rule aborts "
                           "the run with the violated rule and both events")
-    run.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
-                     default="numpy",
+    run.add_argument("--kernels", choices=KERNEL_CHOICES,
+                     default=DEFAULT_BACKEND,
                      help="page-ops kernel backend (repro.kernels): 'pure' "
-                          "(reference), 'numpy' (vectorized, default), or "
+                          "(reference), 'numpy' (vectorized), or "
                           "'compiled' (C extension; falls back to numpy "
-                          "when unbuilt) -- byte-identical results")
+                          "when unbuilt) -- byte-identical results "
+                          f"(default: {DEFAULT_BACKEND})")
     add_fault_flags(run)
 
     verify = sub.add_parser(
@@ -156,11 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default=None,
                        help="result cache directory (default: "
                             "$REPRO_CACHE_DIR or <repo>/.repro_cache)")
-    sweep.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
-                       default="compiled",
-                       help="page-ops kernel backend (default: compiled, "
-                            "falling back to numpy when the extension is "
-                            "not built; run tools/build_kernels.py)")
+    sweep.add_argument("--kernels", choices=KERNEL_CHOICES,
+                       default=DEFAULT_BACKEND,
+                       help="page-ops kernel backend, as for 'run' "
+                            f"(default: {DEFAULT_BACKEND})")
     sweep.add_argument("--json", metavar="OUT.json", default=None,
                        help="also write the full sweep report as JSON")
 
@@ -301,7 +303,8 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
             false_sharing: bool = False,
             checkpoint_every: float = 0.0,
             ft_mode: str = "rollback", replicas: int = 3,
-            invariants: bool = False, kernels: str = "numpy") -> str:
+            invariants: bool = False,
+            kernels: str = DEFAULT_BACKEND) -> str:
     from repro import api
     from repro.bench import harness
     from repro.bench.analysis import decompose, render_breakdown
@@ -492,7 +495,7 @@ def cmd_sweep(experiments: List[str], systems: str, nprocs: str,
               preset: str, jobs: Optional[int], no_cache: bool,
               cache_dir: Optional[str],
               json_out: Optional[str] = None,
-              kernels: str = "compiled") -> str:
+              kernels: str = DEFAULT_BACKEND) -> str:
     from repro.bench import sweep as sweep_mod
     system_list = tuple(s.strip() for s in systems.split(",") if s.strip())
     counts = tuple(int(v) for v in nprocs.split(","))
@@ -552,14 +555,15 @@ def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
 
 
 def cmd_figure(experiment: str, nprocs: str, preset: str) -> str:
+    from repro import api
     from repro.bench import harness
     from repro.bench.figures import render_figure
     if experiment not in harness.EXPERIMENTS:
         raise SystemExit(f"unknown experiment {experiment!r}")
     exp = harness.EXPERIMENTS[experiment]
     counts = tuple(int(v) for v in nprocs.split(","))
-    tmk = harness.speedup_series(experiment, "tmk", counts, preset)
-    pvm = harness.speedup_series(experiment, "pvm", counts, preset)
+    tmk = api.speedup_series(experiment, "tmk", counts, preset)
+    pvm = api.speedup_series(experiment, "pvm", counts, preset)
     return render_figure(
         f"Figure {exp.figure}: {exp.label} "
         f"({harness.size_string(exp, preset)})", counts, tmk, pvm)
@@ -603,6 +607,7 @@ def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
 
 def cmd_profile(experiment: str, system: str, nprocs: int,
                 preset: str) -> str:
+    from repro import api
     from repro.bench import harness
     from repro.obs import ObsConfig, build_profile, render_profile
     if experiment == "all":
@@ -623,8 +628,10 @@ def cmd_profile(experiment: str, system: str, nprocs: int,
                 # The false-sharing tracker feeds the mechanism breakdown.
                 from repro.analysis import AnalysisConfig
                 analysis = AnalysisConfig(false_sharing=True)
-            run = harness.run_cached(exp_id, sysname, nprocs, preset,
-                                     analysis=analysis, obs=obs)
+            config = api.RunConfig(experiment=exp_id, system=sysname,
+                                   nprocs=nprocs, preset=preset,
+                                   analysis=analysis, obs=obs)
+            run = api.run(config, want_parallel=True).parallel
             profile = build_profile(
                 run, label=f"{exp.label} ({preset}, {nprocs} procs)")
             sections.append(render_profile(profile))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.kernels import DEFAULT_BACKEND
 from repro.obs.core import Obs, ObsConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Block, Engine, SimTask
@@ -217,9 +218,9 @@ class ClusterConfig:
     #: ``repro.sim.engine.Scheduler``); None = historical lowest-tid pick.
     scheduler: Optional[Any] = None
     #: Page-op kernel backend (``repro.kernels``): ``"pure"``, ``"numpy"``
-    #: (default), or ``"compiled"`` (falls back to numpy when unbuilt).
+    #: or ``"compiled"`` (falls back to numpy when unbuilt).
     #: Host-side speed only; every backend is byte-identical.
-    kernels: str = "numpy"
+    kernels: str = DEFAULT_BACKEND
 
 
 class Cluster:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.analysis import AnalysisConfig
+from repro.apps import base
 from repro.apps.ep import EpParams
 from repro.bench import harness
 from repro.bench.cache import ResultCache
@@ -144,7 +145,7 @@ class TestRunFacade:
         cache = ResultCache(tmp_path)
         cfg = api.RunConfig(experiment="fig01", nprocs=2)
         cold = api.run(cfg, cache=cache)
-        assert not cold.cached and cold.parallel is not None
+        assert not cold.cached and cold.parallel is None
         warm = api.run(cfg, cache=cache)
         assert warm.cached and warm.parallel is None
         assert warm.to_json_bytes() == cold.to_json_bytes()
@@ -158,7 +159,7 @@ class TestRunFacade:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("simulated on a warm cache")
 
-        monkeypatch.setattr(harness, "run_cached", boom)
+        monkeypatch.setattr(base, "run_parallel", boom)
         assert api.run(cfg, cache=cache).cached
 
     def test_want_parallel_executes_and_matches(self, tiny_ep, tmp_path):

@@ -1,7 +1,11 @@
 """Tests for the experiment harness (registry, caching, series)."""
 
+import dataclasses
+
 import pytest
 
+from repro import api
+from repro.apps import base
 from repro.apps.ep import EpParams
 from repro.bench import harness
 
@@ -41,20 +45,6 @@ class TestCaching:
     def teardown_method(self):
         harness.clear_cache()
 
-    def test_repeat_run_is_cached(self):
-        # Swap in a tiny parameterization so the test is fast.
-        exp = harness.EXPERIMENTS["fig01"]
-        tiny = harness.Experiment(
-            exp.exp_id, exp.label, exp.app, exp.figure,
-            EpParams.tiny(), EpParams.tiny(), exp.size_note)
-        harness.EXPERIMENTS["fig01"] = tiny
-        try:
-            first = harness.run_cached("fig01", "tmk", 2)
-            second = harness.run_cached("fig01", "tmk", 2)
-            assert first is second
-        finally:
-            harness.EXPERIMENTS["fig01"] = exp
-
     def test_speedup_series_monotone_for_ep(self):
         exp = harness.EXPERIMENTS["fig01"]
         tiny = harness.Experiment(
@@ -62,20 +52,24 @@ class TestCaching:
             EpParams(log2_pairs=20), EpParams.paper(), exp.size_note)
         harness.EXPERIMENTS["fig01"] = tiny
         try:
-            series = harness.speedup_series("fig01", "pvm", (1, 2, 4))
+            series = api.speedup_series("fig01", "pvm", (1, 2, 4))
             assert series[0] == pytest.approx(1.0, rel=0.05)
             assert series[0] < series[1] < series[2]
         finally:
             harness.EXPERIMENTS["fig01"] = exp
 
-    def test_run_cached_verifies_results(self):
+    def test_run_verifies_results(self, monkeypatch):
         exp = harness.EXPERIMENTS["fig01"]
         tiny = harness.Experiment(
             exp.exp_id, exp.label, exp.app, exp.figure,
             EpParams.tiny(), EpParams.tiny(), exp.size_note)
-        harness.EXPERIMENTS["fig01"] = tiny
-        try:
-            run = harness.run_cached("fig01", "pvm", 2)
-            assert run.result is not None
-        finally:
-            harness.EXPERIMENTS["fig01"] = exp
+        monkeypatch.setitem(harness.EXPERIMENTS, "fig01", tiny)
+        config = api.RunConfig(experiment="fig01", system="pvm", nprocs=2)
+        run = api.run(config, use_cache=False, want_parallel=True)
+        assert run.parallel.result is not None
+        # A parallel result that disagrees with the sequential run fails.
+        spec = base.APPS["ep"]
+        monkeypatch.setitem(base.APPS, "ep", dataclasses.replace(
+            spec, verify=lambda parallel, sequential: False))
+        with pytest.raises(AssertionError, match="does not match"):
+            api.run(config, use_cache=False)

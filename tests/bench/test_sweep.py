@@ -11,6 +11,7 @@ from repro.api import RunConfig
 from repro.bench import harness
 from repro.bench.sweep import (SweepReport, SweepRun, default_jobs,
                                run_sweep, sweep_configs)
+from repro.kernels import DEFAULT_BACKEND
 
 
 class TestSweepConfigs:
@@ -29,12 +30,11 @@ class TestSweepConfigs:
                                 nprocs=(2, 4), preset="tiny")
         assert len(configs) == 4
         assert configs[0] == RunConfig(experiment="fig01", system="tmk",
-                                       nprocs=2, preset="tiny",
-                                       kernels="compiled")
+                                       nprocs=2, preset="tiny")
 
-    def test_default_grid_uses_fast_stack(self):
+    def test_default_grid_uses_default_backend(self):
         configs = sweep_configs(["fig01"])
-        assert all(c.kernels == "compiled" for c in configs)
+        assert all(c.kernels == DEFAULT_BACKEND for c in configs)
         slow = sweep_configs(["fig01"], kernels="pure")
         assert all(c.kernels == "pure" for c in slow)
 

@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro import api
 from repro.bench import harness
 from repro.obs import ObsConfig
 
@@ -30,7 +31,9 @@ OBS = ObsConfig(timeline=True, profile=True)
 
 
 def fingerprint(exp_id: str, system: str) -> dict:
-    run = harness.run_cached(exp_id, system, NPROCS, "tiny", obs=OBS)
+    config = api.RunConfig(experiment=exp_id, system=system, nprocs=NPROCS,
+                           preset="tiny", obs=OBS)
+    run = api.run(config, use_cache=False, want_parallel=True).parallel
     return {
         "digest": run.timeline.digest(),
         "time_us": round(run.time * 1e6, 3),

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.bench import harness
 from repro.obs import (ObsConfig, Timeline, to_chrome_trace,
                        validate_chrome_trace, write_chrome_trace)
 
@@ -108,10 +107,10 @@ class TestValidator:
         assert any("ts" in e for e in errors)
 
 
-def test_real_run_exports_valid_trace(tmp_path):
+def test_real_run_exports_valid_trace(tmp_path, observed_run):
     """Acceptance: a simulated run's exported trace passes validation
     and survives a JSON round trip."""
-    run = harness.run_cached("fig02", "tmk", 4, "tiny", obs=OBS)
+    run = observed_run("fig02", "tmk", obs=OBS)
     path = tmp_path / "sor.json"
     write_chrome_trace(run.timeline, str(path), label="SOR-Zero tmk x4")
     loaded = json.loads(path.read_text())
@@ -123,10 +122,8 @@ def test_real_run_exports_valid_trace(tmp_path):
         assert kind in kinds, f"missing {kind} spans"
 
 
-def test_capped_run_still_valid():
-    run_id = ("fig08", "tmk", 4)
-    run = harness.run_cached(*run_id, "tiny",
-                             obs=ObsConfig(timeline=True, cap=64))
+def test_capped_run_still_valid(observed_run):
+    run = observed_run("fig08", "tmk", obs=ObsConfig(timeline=True, cap=64))
     trace = to_chrome_trace(run.timeline)
     assert validate_chrome_trace(trace) == []
     assert trace["otherData"]["dropped_events"] > 0

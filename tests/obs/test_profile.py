@@ -127,9 +127,9 @@ class TestBuildProfile:
 
 @pytest.mark.parametrize("system", ["tmk", "pvm"])
 @pytest.mark.parametrize("exp_id", ["fig02", "fig06", "fig08"])
-def test_buckets_sum_to_measured(exp_id, system):
+def test_buckets_sum_to_measured(exp_id, system, observed_run):
     """Acceptance: per-processor buckets sum to measured time (+-1us)."""
-    run = harness.run_cached(exp_id, system, 4, "tiny", obs=OBS)
+    run = observed_run(exp_id, system, obs=OBS)
     profile = build_profile(run)
     assert len(profile.processors) == 4
     for proc in profile.processors:
@@ -145,11 +145,10 @@ def test_buckets_sum_to_measured(exp_id, system):
     assert max(profiler.finish) - profiler.mark_time >= run.time - 1e-12
 
 
-def test_tmk_mechanism_attribution_consistent():
+def test_tmk_mechanism_attribution_consistent(observed_run):
     from repro.analysis import AnalysisConfig
-    run = harness.run_cached("fig02", "tmk", 4, "tiny",
-                             analysis=AnalysisConfig(false_sharing=True),
-                             obs=OBS)
+    run = observed_run("fig02", "tmk",
+                       analysis=AnalysisConfig(false_sharing=True), obs=OBS)
     profile = build_profile(run, label="SOR-Zero")
     mech = profile.mechanisms
     assert isinstance(mech, MechanismAttribution)
@@ -166,8 +165,8 @@ def test_tmk_mechanism_attribution_consistent():
     assert "stall-on-data attribution" in text
 
 
-def test_pvm_has_no_mechanism_section():
-    run = harness.run_cached("fig02", "pvm", 4, "tiny", obs=OBS)
+def test_pvm_has_no_mechanism_section(observed_run):
+    run = observed_run("fig02", "pvm", obs=OBS)
     profile = build_profile(run)
     assert profile.mechanisms is None
     assert "stall-on-data" not in render_profile(profile)

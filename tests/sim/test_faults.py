@@ -83,7 +83,7 @@ class TestFaultPlanDecisions:
             FaultPlan(rto=0.0)
 
     def test_plan_is_hashable(self):
-        # run_cached keys its memo on the plan.
+        # RunConfig is a dict key (and hashed) with the plan inside it.
         plan = FaultPlan(seed=1, loss=0.1, categories=frozenset({"m"}),
                          slow_nodes={0: 1e-3})
         assert hash(plan) == hash(FaultPlan(seed=1, loss=0.1,

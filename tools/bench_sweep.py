@@ -13,10 +13,9 @@ Three measurements:
 * **environment**: CPU count and preset, so numbers from a 1-core CI
   runner are not mistaken for a parallel-speedup claim.
 
-The sweep measurement goes through ``sweep_configs``'s defaults -- the
-compiled kernels (built here first; silently falls back to numpy when
-the toolchain cannot build it) -- so the committed numbers track the
-fastest stack a fresh checkout can reach.
+The sweep measurement asks for the compiled kernels (built here first;
+silently falls back to numpy when the toolchain cannot build it), so the
+committed numbers track the fastest stack a fresh checkout can reach.
 
 Run:   python tools/bench_sweep.py [--out BENCH_sweep.json]
 Gate:  python tools/bench_sweep.py --out /tmp/fresh.json \\
@@ -39,7 +38,7 @@ SLACK_SECONDS = 0.25
 
 
 def build_compiled_kernels():
-    """Best-effort build of the C extension (the sweep's default)."""
+    """Best-effort build of the C extension the sweep measurement uses."""
     script = os.path.join(os.path.dirname(__file__), "build_kernels.py")
     proc = subprocess.run([sys.executable, script], capture_output=True,
                           text=True)
@@ -51,13 +50,13 @@ def build_compiled_kernels():
 def bench_sweep(jobs):
     from repro.bench import harness
     from repro.bench.sweep import run_sweep, sweep_configs
-    configs = sweep_configs(nprocs=(4,), preset="tiny")
+    configs = sweep_configs(nprocs=(4,), preset="tiny", kernels="compiled")
     with tempfile.TemporaryDirectory() as serial_dir, \
             tempfile.TemporaryDirectory() as par_dir:
         serial = run_sweep(configs, jobs=1, cache_dir=serial_dir)
-        # Drop the in-process memo so the "parallel" measurement is a
-        # genuinely cold start even when jobs=1 degenerates to in-process
-        # execution (e.g. a 1-core CI runner).
+        # Drop the sequential-reference memo so the "parallel" measurement
+        # is a genuinely cold start even when jobs=1 degenerates to
+        # in-process execution (e.g. a 1-core CI runner).
         harness.clear_cache()
         parallel = run_sweep(configs, jobs=jobs, cache_dir=par_dir)
         harness.clear_cache()
